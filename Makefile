@@ -4,7 +4,7 @@ GO ?= go
 
 .PHONY: all build test test-race vet fmt-check bench bench-exp \
 	bench-baseline bench-check bench-scaling-baseline scaling-check \
-	test-generic cross-smoke examples-smoke scenario-smoke \
+	test-generic test-cpu cross-smoke examples-smoke scenario-smoke \
 	service-smoke chaos-smoke crash-smoke ci clean
 
 all: build
@@ -81,6 +81,14 @@ scaling-check:
 # where the default pass never exercises them.
 test-generic:
 	GALACTOS_LANE_DISPATCH=generic $(GO) test -count=1 ./internal/sphharm/... ./internal/core/...
+
+# The worker-pool-sensitive suites at GOMAXPROCS 1, 2 and 4: an assertion
+# that only holds at one CPU count (a worker-budget division that floors to
+# 1 on a 1-CPU host, a goroutine count that depends on the scheduler) fails
+# here instead of on the next machine class.
+test-cpu:
+	$(GO) test -count=1 -cpu 1,2,4 ./internal/core/... ./internal/exec/... \
+		./internal/service/... ./internal/scenario/...
 
 # Cross-compile smoke: the build must stay portable (arm64 has no asm lane
 # bodies — the generic path must fill in) and legal at the highest amd64

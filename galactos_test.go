@@ -2,6 +2,7 @@ package galactos_test
 
 import (
 	"math"
+	"math/cmplx"
 	"path/filepath"
 	"testing"
 
@@ -30,6 +31,83 @@ func TestPublicComputeMatchesBruteForce(t *testing.T) {
 	}
 	if d := got.MaxAbsDiff(want); d > 1e-9*want.MaxAbs() {
 		t.Errorf("public API result differs from brute force by %v", d)
+	}
+}
+
+// TestPublicSelfCountMatchesBruteForceHighOrder pins the self-pair
+// correction at the paper's LMax 10, where it lands: the diagonal (b, b)
+// entries of every channel. Each case checks them channel by channel
+// against direct triplet enumeration, relative to that channel's own
+// largest entry, so a small-amplitude high-order channel cannot hide behind
+// the monopole's scale.
+func TestPublicSelfCountMatchesBruteForceHighOrder(t *testing.T) {
+	base := galactos.DefaultConfig()
+	base.RMax = 40
+	base.NBins = 4
+	base.LMax = 10
+	base.Workers = 2
+	base.SelfCount = true
+
+	periodic := galactos.GenerateClustered(100, 150, galactos.DefaultClusterParams(), 21)
+	open := galactos.GenerateClustered(100, 150, galactos.DefaultClusterParams(), 22)
+	open.Box = galactos.Periodic{}
+
+	for _, tc := range []struct {
+		name string
+		cat  *galactos.Catalog
+		edit func(*galactos.Config)
+	}{
+		{"plane-parallel-periodic", periodic, func(c *galactos.Config) { c.LOS = galactos.LOSPlaneParallel }},
+		{"radial-open", open, func(c *galactos.Config) {
+			c.LOS = galactos.LOSRadial
+			c.Observer = galactos.Vec3{X: -400, Y: 250, Z: -900}
+		}},
+		{"isotropic-only", periodic, func(c *galactos.Config) {
+			c.LOS = galactos.LOSPlaneParallel
+			c.IsotropicOnly = true
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := base
+			tc.edit(&cfg)
+			got, err := galactos.Compute(tc.cat, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := galactos.BruteForce3PCF(tc.cat, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Pairs != want.Pairs {
+				t.Fatalf("pairs %d, brute force %d", got.Pairs, want.Pairs)
+			}
+			nb := cfg.NBins
+			checked := 0
+			for ci, c := range want.Combos.Combos {
+				if cfg.IsotropicOnly && c.L1 != c.L2 {
+					continue // the engine leaves these channels zero
+				}
+				ch := want.Aniso[ci*nb*nb : (ci+1)*nb*nb]
+				scale := 0.0
+				for _, v := range ch {
+					scale = math.Max(scale, cmplx.Abs(v))
+				}
+				if scale == 0 {
+					continue
+				}
+				for b := 0; b < nb; b++ {
+					i := ci*nb*nb + b*nb + b
+					if d := cmplx.Abs(got.Aniso[i] - want.Aniso[i]); d > 1e-9*scale {
+						t.Errorf("(l1=%d l2=%d m=%d) bin %d: engine %v, brute force %v (rel %.3g)",
+							c.L1, c.L2, c.M, b, got.Aniso[i], want.Aniso[i], d/scale)
+					}
+				}
+				checked++
+			}
+			if checked == 0 {
+				t.Fatal("no channel had signal; the case checks nothing")
+			}
+		})
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/cmplx"
 	"runtime/debug"
 	"sort"
 	"sync"
@@ -198,13 +197,15 @@ type engine struct {
 
 // zetaChannel caches one canonical channel's constants for the block-level
 // outer-product sweep: the flattened Aniso base offset, the (m >= 0) pair
-// indices of the two a_lm legs, and the channel index into the self-pair
-// tensor. Channels excluded by IsotropicOnly are filtered out at build time
-// so the hot loop carries no per-channel mode branch.
+// indices of the two a_lm legs, and (SelfCount only) the channel's Gaunt
+// coefficients over the self-pair Legendre moments L = l2-l1, l2-l1+2, ...
+// Channels excluded by IsotropicOnly are filtered out at build time so the
+// hot loop carries no per-channel mode branch.
 type zetaChannel struct {
 	base   int
 	i1, i2 int32
-	ci     int32
+	gLo    int32
+	g      []float64
 }
 
 func (e *engine) buildFinder() error {
@@ -241,12 +242,16 @@ func (e *engine) buildFinder() error {
 		if e.cfg.IsotropicOnly && c.L1 != c.L2 {
 			continue
 		}
-		e.channels = append(e.channels, zetaChannel{
+		ch := zetaChannel{
 			base: ci * nb * nb,
 			i1:   int32(sphharm.PairIndex(c.L1, c.M)),
 			i2:   int32(sphharm.PairIndex(c.L2, c.M)),
-			ci:   int32(ci),
-		})
+		}
+		if e.cfg.SelfCount {
+			ch.gLo = int32(c.L2 - c.L1)
+			ch.g = sphharm.SelfPairCoeffs(c.L1, c.L2, c.M)
+		}
+		e.channels = append(e.channels, ch)
 	}
 	return nil
 }
@@ -617,9 +622,14 @@ type workerState struct {
 	blockTlOff []int32 // per-primary offsets into blockTl
 	blockPw    []float64
 	blockAniso []complex128 // per-block zeta accumulator (committed per block)
-	selfT      []complex128 // [a][bin][channel] self-pair tensor (SelfCount only)
 
-	// IsotropicOnly fast-ladder arenas, replacing blockAniso/wXY/selfT: the
+	// Self-pair Legendre moments (SelfCount only): selfMom[bin][L] sums
+	// pw * w_j^2 * P_L(z_j) over the block's pairs, L = 0..2*LMax, and
+	// selfHit marks the bins any of the block's primaries touched.
+	selfMom []float64
+	selfHit []bool
+
+	// IsotropicOnly fast-ladder arenas, replacing blockAniso/wXY: the
 	// iso channels are in bijection with the pc (l, m) slots, their zeta
 	// tiles are real (downstream consumers read only the real parts), and
 	// the primary-weight scaling folds into the zeta primitive — so the iso
@@ -628,10 +638,6 @@ type workerState struct {
 	// channels IsotropicOnly filters out. aSlab switches to split re/im
 	// halves per (slot, primary) in this mode (see processBlock).
 	blockIso []float64 // per-block real zeta accumulator, indexed by (l,m) slot
-	selfIso  []float64 // [a][bin][slot] real self-pair tensor (SelfCount only)
-
-	yScr []float64    // monomial scratch for point evaluation
-	yPt  []complex128 // per-point Y_lm scratch
 
 	blockPairs uint64
 	blockNP    int
@@ -658,8 +664,6 @@ func (e *engine) newWorkerState() *workerState {
 		blockTl:    make([]int32, K*nb),
 		blockTlOff: make([]int32, K+1),
 		blockPw:    make([]float64, K),
-		yScr:       make([]float64, e.mono.Len()),
-		yPt:        make([]complex128, pc),
 	}
 	if e.cfg.IsotropicOnly {
 		s.blockIso = make([]float64, pc*nb*nb)
@@ -684,11 +688,8 @@ func (e *engine) newWorkerState() *workerState {
 		s.cpz = make([]float64, K*K)
 	}
 	if e.cfg.SelfCount {
-		if e.cfg.IsotropicOnly {
-			s.selfIso = make([]float64, K*nb*pc)
-		} else {
-			s.selfT = make([]complex128, K*nb*e.combos.Len())
-		}
+		s.selfMom = make([]float64, nb*(2*e.cfg.LMax+1))
+		s.selfHit = make([]bool, nb)
 	}
 	return s
 }
@@ -776,8 +777,8 @@ func (e *engine) processBlock(s *workerState, b int) {
 			zs := s.tz[beg:end]
 			ws := s.tw[beg:end]
 			s.kern.AccumulateTile(xs, ys, zs, ws, s.acc[bb])
-			if s.selfT != nil || s.selfIso != nil {
-				e.accumulateSelfPairs(s, a, bb, xs, ys, zs, ws)
+			if s.selfMom != nil {
+				e.accumulateSelfPairs(s, pw, bb, zs, ws)
 			}
 		}
 		s.tConsume += time.Since(t0)
@@ -860,10 +861,10 @@ func (e *engine) processBlock(s *workerState, b int) {
 	t0 = time.Now()
 	if e.cfg.IsotropicOnly {
 		e.zetaIsoBlock(s, K)
+		e.clearSelfMoments(s)
 		s.tAlmZeta += time.Since(t0)
 		return
 	}
-	nchan := e.combos.Len()
 	stride2 := K * 2 * nb
 	allDense := int(s.blockTlOff[K]) == K*nb
 	for _, ch := range e.channels {
@@ -900,25 +901,17 @@ func (e *engine) processBlock(s *workerState, b int) {
 				}
 			}
 		}
-		if s.selfT != nil {
-			// Diagonal self-pair subtraction, off the hot loop.
-			for a := 0; a < K; a++ {
-				pwc := complex(s.blockPw[a], 0)
-				st := s.selfT[a*nb*nchan:]
-				for _, bb := range s.blockTl[s.blockTlOff[a]:s.blockTlOff[a+1]] {
-					dst[int(bb)*nb+int(bb)] -= pwc * st[int(bb)*nchan+int(ch.ci)]
+		if s.selfMom != nil {
+			// Diagonal self-pair subtraction, off the hot loop: the self term
+			// is real, so only the real part of each (b, b) entry moves.
+			for bb, hit := range s.selfHit {
+				if hit {
+					dst[bb*nb+bb] -= complex(e.selfTerm(s, ch, bb), 0)
 				}
 			}
 		}
 	}
-	if s.selfT != nil {
-		for a := 0; a < K; a++ {
-			for _, bb := range s.blockTl[s.blockTlOff[a]:s.blockTlOff[a+1]] {
-				o := (a*nb + int(bb)) * nchan
-				clear(s.selfT[o : o+nchan])
-			}
-		}
-	}
+	e.clearSelfMoments(s)
 	s.tAlmZeta += time.Since(t0)
 }
 
@@ -936,7 +929,6 @@ func (e *engine) processBlock(s *workerState, b int) {
 // and dense-scan traversals stay bitwise interchangeable.
 func (e *engine) zetaIsoBlock(s *workerState, K int) {
 	nb := e.bins.N
-	pc := e.pc
 	nb2 := nb * nb
 	stride2 := K * 2 * nb
 	allDense := int(s.blockTlOff[K]) == K*nb
@@ -970,21 +962,11 @@ func (e *engine) zetaIsoBlock(s *workerState, K int) {
 				}
 			}
 		}
-		if s.selfIso != nil {
-			for a := 0; a < K; a++ {
-				pw := s.blockPw[a]
-				st := s.selfIso[a*nb*pc:]
-				for _, bb := range s.blockTl[s.blockTlOff[a]:s.blockTlOff[a+1]] {
-					dst[int(bb)*nb+int(bb)] -= pw * st[int(bb)*pc+slot]
+		if s.selfMom != nil {
+			for bb, hit := range s.selfHit {
+				if hit {
+					dst[bb*nb+bb] -= e.selfTerm(s, ch, bb)
 				}
-			}
-		}
-	}
-	if s.selfIso != nil {
-		for a := 0; a < K; a++ {
-			for _, bb := range s.blockTl[s.blockTlOff[a]:s.blockTlOff[a+1]] {
-				o := (a*nb + int(bb)) * pc
-				clear(s.selfIso[o : o+pc])
 			}
 		}
 	}
@@ -1201,42 +1183,41 @@ func (e *engine) growTiles(s *workerState, n int) {
 	s.tw = make([]float64, nb*n)
 }
 
-// accumulateSelfPairs folds one tile's secondaries into the primary's
-// per-bin self-pair tensor (SelfCount only): the w^2 Y_l1m Y*_l2m terms
-// subtracted from diagonal (b, b) channels after the zeta outer products.
-// It runs over the already-rotated tile columns, off the kernel hot loop,
-// walking the prebuilt channel list (mode filtering happened at engine
-// build).
-func (e *engine) accumulateSelfPairs(s *workerState, a int, bin int32, xs, ys, zs, ws []float64) {
+// accumulateSelfPairs folds one tile's secondaries into the block's
+// self-pair Legendre moments (SelfCount only). A secondary paired with
+// itself contributes pw * w^2 * Y_l1m Y*_l2m to every diagonal (b, b)
+// channel entry; with both legs at the same m that product is a real
+// function of the line-of-sight cosine alone, sum_L G_L P_L(z) (see
+// sphharm.SelfPairCoeffs), so the tile reduces to 2*LMax+1 moments of the
+// already-rotated z column and stage 3 contracts them per channel.
+func (e *engine) accumulateSelfPairs(s *workerState, pw float64, bin int32, zs, ws []float64) {
 	t0 := time.Now()
-	if e.cfg.IsotropicOnly {
-		// Iso channels pair a slot with itself, so the self term is the real
-		// |Y_lm|^2 — accumulated with the same x*re + y*im shape the iso
-		// zeta primitive uses.
-		pc := e.pc
-		st := s.selfIso[(a*e.bins.N+int(bin))*pc:]
-		for j := range xs {
-			e.ytab.EvalPoint(xs[j], ys[j], zs[j], s.yScr, s.yPt)
-			w2 := ws[j] * ws[j]
-			for _, ch := range e.channels {
-				y := s.yPt[ch.i1]
-				re, im := real(y), imag(y)
-				st[ch.i1] += (w2*re)*re + (w2*im)*im
-			}
-		}
-		s.tSelf += time.Since(t0)
-		return
-	}
-	nchan := e.combos.Len()
-	st := s.selfT[(a*e.bins.N+int(bin))*nchan:]
-	for j := range xs {
-		e.ytab.EvalPoint(xs[j], ys[j], zs[j], s.yScr, s.yPt)
-		w2 := complex(ws[j]*ws[j], 0)
-		for _, ch := range e.channels {
-			y1 := s.yPt[ch.i1]
-			y2 := s.yPt[ch.i2]
-			st[ch.ci] += w2 * y1 * cmplx.Conj(y2)
-		}
-	}
+	n := 2*e.cfg.LMax + 1
+	sphharm.LegendreMoments(zs, ws, pw, s.selfMom[int(bin)*n:int(bin+1)*n])
+	s.selfHit[bin] = true
 	s.tSelf += time.Since(t0)
+}
+
+// selfTerm contracts channel ch's Gaunt coefficients against bin bb's
+// self-pair moments: the value stage 3 subtracts from the (bb, bb) entry.
+func (e *engine) selfTerm(s *workerState, ch zetaChannel, bb int) float64 {
+	n := 2*e.cfg.LMax + 1
+	mom := s.selfMom[bb*n+int(ch.gLo) : (bb+1)*n]
+	v := 0.0
+	for k, g := range ch.g {
+		v += g * mom[2*k]
+	}
+	return v
+}
+
+// clearSelfMoments resets the touched bins' self-pair moments for the next
+// block (SelfCount only; a no-op otherwise).
+func (e *engine) clearSelfMoments(s *workerState) {
+	n := 2*e.cfg.LMax + 1
+	for bb, hit := range s.selfHit {
+		if hit {
+			clear(s.selfMom[bb*n : (bb+1)*n])
+			s.selfHit[bb] = false
+		}
+	}
 }

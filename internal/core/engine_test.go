@@ -400,8 +400,10 @@ func TestNormalizeFillsWorkerDefault(t *testing.T) {
 	if norm.Workers < 1 {
 		t.Fatalf("Normalize left Workers at %d", norm.Workers)
 	}
-	if div := norm.DivideWorkers(2); div.Workers != norm.Workers {
-		t.Fatalf("DivideWorkers touched an explicit worker count: %d -> %d", norm.Workers, div.Workers)
+	// DivideWorkers always divides, explicit counts included (floor 1).
+	want := max(norm.Workers/2, 1)
+	if div := norm.DivideWorkers(2); div.Workers != want {
+		t.Fatalf("DivideWorkers(2) on %d workers gave %d, want %d", norm.Workers, div.Workers, want)
 	}
 	unset := smallConfig()
 	unset.Workers = 0

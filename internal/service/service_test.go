@@ -26,6 +26,15 @@ import (
 // remote galactosd deployment is driven.
 func startServer(t *testing.T, opts service.Options) (*service.Server, *client.Client) {
 	t.Helper()
+	svc, cl, _ := startServerHTTP(t, opts)
+	return svc, cl
+}
+
+// startServerHTTP is startServer that also returns the client's transport
+// owner, so leak checks can drop pooled keep-alive connections (a client
+// read/write loop plus the server's conn goroutine) before counting.
+func startServerHTTP(t *testing.T, opts service.Options) (*service.Server, *client.Client, *http.Client) {
+	t.Helper()
 	svc, err := service.New(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +52,7 @@ func startServer(t *testing.T, opts service.Options) (*service.Server, *client.C
 		hc.CloseIdleConnections()
 		ln.Close()
 	})
-	return svc, client.New("http://"+ln.Addr().String(), hc)
+	return svc, client.New("http://"+ln.Addr().String(), hc), hc
 }
 
 // testRequest is a small deterministic job; distinct seeds give distinct
@@ -254,7 +263,8 @@ func waitForState(t *testing.T, cl *client.Client, id string, want service.State
 }
 
 func TestStreamingSubmitDisconnectCancelsPromptly(t *testing.T) {
-	svc, cl := startServer(t, service.Options{Workers: 1})
+	svc, cl, hc := startServerHTTP(t, service.Options{Workers: 1})
+	hc.CloseIdleConnections()
 	before := runtime.NumGoroutine()
 
 	// A job big enough that it cannot finish before we disconnect.
@@ -301,6 +311,7 @@ func TestStreamingSubmitDisconnectCancelsPromptly(t *testing.T) {
 	// event waiters must all wind down once the job is cancelled.
 	var leaked int
 	for end := time.Now().Add(5 * time.Second); time.Now().Before(end); {
+		hc.CloseIdleConnections()
 		leaked = runtime.NumGoroutine() - before
 		if leaked <= 2 {
 			return
