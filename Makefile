@@ -5,7 +5,7 @@ GO ?= go
 .PHONY: all build test test-race vet fmt-check bench bench-exp \
 	bench-baseline bench-check bench-scaling-baseline scaling-check \
 	test-generic test-cpu cross-smoke examples-smoke scenario-smoke \
-	service-smoke chaos-smoke crash-smoke ci clean
+	service-smoke chaos-smoke crash-smoke bench-pairs ci clean
 
 all: build
 
@@ -142,6 +142,13 @@ crash-smoke:
 	$(GO) run -race ./cmd/galactos -chaos-proc -n 400 -seed 1 \
 		-galactosd /tmp/galactosd-crash-smoke \
 		$(if $(CHAOS_SUMMARY),-chaos-summary "$(CHAOS_SUMMARY)")
+
+# Paired A/B measurement of the working tree against a base ref (default
+# HEAD) on the end-to-end benchmark: alternating perfbench runs, per-metric
+# medians, quartiles and win counts. Minutes per workload, so not in ci.
+# Example: make bench-pairs BENCH_PAIRS_ARGS="-w survey-stream -n 6"
+bench-pairs:
+	bash scripts/benchpairs.sh $(BENCH_PAIRS_ARGS)
 
 ci: fmt-check build vet test bench
 

@@ -140,11 +140,12 @@ func BenchmarkQueryRadius(b *testing.B) {
 }
 
 // BenchmarkAlmZeta isolates the reduction phase (perfstat's alm_zeta) at
-// block granularity, the way engine.processBlock runs it: per primary the
-// lane-sum Reduce, monomial -> a_lm conversion, and the packed slab fill,
-// then the channel-major zeta stage folding the whole block into each
-// channel's tile through one fused ZetaBatch call (BenchmarkCompute shape:
-// 10 bins, l_max 10, all bins touched, 32-primary blocks).
+// block granularity, the way engine.processBlock runs it: the block's slab
+// clear, per primary the lane-sum Reduce, monomial -> a_lm conversion, and
+// the bin-indexed slab fill, then the channel-major zeta stage folding the
+// whole block into each channel's tile through one fused ZetaBatch call
+// (BenchmarkCompute shape: 10 bins, l_max 10, all bins touched, 32-primary
+// blocks).
 func BenchmarkAlmZeta(b *testing.B) {
 	const lmax, nb, K = 10, 10, 32
 	mono := sphharm.NewMonomialTable(lmax)
@@ -171,6 +172,8 @@ func BenchmarkAlmZeta(b *testing.B) {
 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		clear(aSlab)
+		clear(wXY)
 		for a := 0; a < K; a++ {
 			for t := 0; t < nb; t++ {
 				sphharm.Reduce(acc[t], msums)

@@ -8,6 +8,8 @@ import (
 	"galactos/internal/catalog"
 	"galactos/internal/core"
 	"galactos/internal/geom"
+	"galactos/internal/hist"
+	"galactos/internal/sphharm"
 )
 
 // testConfig returns a small configuration suitable for O(N^3) runs.
@@ -66,6 +68,127 @@ func TestEngineMatchesBruteForceAniso(t *testing.T) {
 		}
 		if d := got.MaxAbsDiff(want); d > 1e-9*scale {
 			t.Errorf("%v: engine vs brute force max diff %v (scale %v)", los, d, scale)
+		}
+	}
+}
+
+// TestEngineMatchesBruteForceMixedBinCoverage pins the zeta stage on cell
+// blocks whose primaries mix full and partial radial-bin coverage: RMin > 0
+// and many narrow shells leave most primaries' inner shells empty, while
+// primaries inside clusters touch every shell. The engine's a_lm slabs are
+// zero-padded in the bins a primary missed, so every block goes through the
+// fused zeta primitive; every (b1, b2) entry of every active channel must
+// match direct triplet enumeration relative to that channel's own largest
+// entry, for the full and IsotropicOnly ladders, under both lane dispatches.
+func TestEngineMatchesBruteForceMixedBinCoverage(t *testing.T) {
+	cat := catalog.Clustered(200, 100, catalog.DefaultClusterParams(), 5)
+	cfg := core.DefaultConfig()
+	cfg.RMin = 6
+	cfg.RMax = 30
+	cfg.NBins = 12
+	cfg.LMax = 10
+	cfg.SelfCount = true
+	cfg.Workers = 2
+
+	// The catalog must really contain both kinds of primary, or the case
+	// silently tests only the dense (or only the sparse) blocks.
+	bins, err := hist.NewBinning(cfg.RMin, cfg.RMax, cfg.NBins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := cat.Positions()
+	full, partial := 0, 0
+	for p := range pts {
+		seen := make([]bool, bins.N)
+		touched := 0
+		for j := range pts {
+			if j == p {
+				continue
+			}
+			if b := bins.Index(cat.Box.Separation(pts[p], pts[j]).Norm()); b >= 0 && !seen[b] {
+				seen[b] = true
+				touched++
+			}
+		}
+		switch {
+		case touched == bins.N:
+			full++
+		case touched > 0:
+			partial++
+		}
+	}
+	if full == 0 || partial == 0 {
+		t.Fatalf("catalog has %d full-coverage and %d partial-coverage primaries; need both", full, partial)
+	}
+
+	want, err := Aniso(cat, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nb := cfg.NBins
+	prev := sphharm.LaneDispatch() == "avx512"
+	defer sphharm.SetLaneDispatch(prev)
+	for _, vector := range []bool{true, false} {
+		sphharm.SetLaneDispatch(vector)
+		for _, blocks := range []struct {
+			name  string
+			chunk int
+			cell  float64
+		}{
+			{"default-blocks", 0, 0},
+			// One cell spanning the box and a chunk covering the catalog put
+			// every primary in one block, so that block mixes both kinds.
+			{"one-block", cat.Len(), cat.Box.L},
+		} {
+			for _, iso := range []bool{false, true} {
+				c := cfg
+				c.IsotropicOnly = iso
+				if blocks.chunk > 0 {
+					c.ChunkSize = blocks.chunk
+					c.BlockCell = blocks.cell
+				}
+				name := sphharm.LaneDispatch() + "/" + blocks.name
+				if iso {
+					name += "/isotropic-only"
+				}
+				got, err := core.Compute(cat, c)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if got.Pairs != want.Pairs {
+					t.Fatalf("%s: pairs %d, brute force %d", name, got.Pairs, want.Pairs)
+				}
+				checked := 0
+				for ci, cb := range want.Combos.Combos {
+					if iso && cb.L1 != cb.L2 {
+						continue // the engine leaves these channels zero
+					}
+					w := want.Aniso[ci*nb*nb : (ci+1)*nb*nb]
+					g := got.Aniso[ci*nb*nb : (ci+1)*nb*nb]
+					scale := 0.0
+					for _, v := range w {
+						scale = math.Max(scale, cmplx.Abs(v))
+					}
+					if scale == 0 {
+						continue
+					}
+					for i := range w {
+						d := cmplx.Abs(g[i] - w[i])
+						if iso {
+							// The iso ladder accumulates real parts only.
+							d = math.Abs(real(g[i]) - real(w[i]))
+						}
+						if d > 1e-9*scale {
+							t.Fatalf("%s: (l1=%d l2=%d m=%d) bins (%d, %d): engine %v, brute force %v (rel %.3g)",
+								name, cb.L1, cb.L2, cb.M, i/nb, i%nb, g[i], w[i], d/scale)
+						}
+					}
+					checked++
+				}
+				if checked == 0 {
+					t.Fatalf("%s: no channel had signal; the case checks nothing", name)
+				}
+			}
 		}
 	}
 }

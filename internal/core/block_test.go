@@ -4,13 +4,13 @@ import (
 	"context"
 	"errors"
 	"math"
-	"runtime"
 	"testing"
 	"time"
 
 	"galactos/internal/catalog"
 	"galactos/internal/geom"
 	"galactos/internal/hist"
+	"galactos/internal/leakcheck"
 )
 
 // TestSchedulingEquivalenceBitwise pins the block scheduler's determinism
@@ -77,7 +77,7 @@ func TestBlockCancellationPromptNoLeaks(t *testing.T) {
 		cfg.Scheduling = sched
 		cfg.ChunkSize = 4 // many small blocks: cancellation lands mid-run
 
-		before := runtime.NumGoroutine()
+		snap := leakcheck.Take()
 		ctx, cancel := context.WithCancel(context.Background())
 		go func() {
 			time.Sleep(10 * time.Millisecond)
@@ -101,13 +101,7 @@ func TestBlockCancellationPromptNoLeaks(t *testing.T) {
 			t.Fatalf("%v: cancellation not prompt: took %v", sched, elapsed)
 		}
 		// Workers must be gone; allow the runtime a moment to reap them.
-		deadline := time.Now().Add(2 * time.Second)
-		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-			time.Sleep(5 * time.Millisecond)
-		}
-		if g := runtime.NumGoroutine(); g > before {
-			t.Fatalf("%v: goroutine leak: %d before, %d after", sched, before, g)
-		}
+		snap.Check(t, 2*time.Second, nil)
 	}
 }
 

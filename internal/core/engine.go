@@ -609,17 +609,16 @@ type workerState struct {
 	reScr, imScr   []float64 // contiguous AlmRI output per (primary, bin)
 
 	// Block-level a_lm slabs, packed (re, im) pairs laid out [(l,m) slot i]
-	// [local primary a][touched slot t] (slot-major, per-primary stride
-	// 2*nb): wXY holds the primary-weight-scaled coefficients (the b1 leg
-	// of the zeta outer product) and aSlab the unweighted ones (the a2
-	// leg). The slabs persist across the whole block so the zeta stage can
-	// run channel-major — each channel reads its two legs as contiguous
-	// streams over the block's primaries and folds them into one cache-hot
-	// nb x nb tile via sphharm.ZetaBatch, which derives the conjugate
-	// interleave in-register.
+	// [local primary a][radial bin b] (slot-major, per-primary stride 2*nb),
+	// zero-padded: a bin the primary did not touch holds zeros, so every
+	// primary is dense by padding. wXY holds the primary-weight-scaled
+	// coefficients (the b1 leg of the zeta outer product) and aSlab the
+	// unweighted ones (the a2 leg). The slabs persist across the whole block
+	// so the zeta stage runs channel-major — each channel reads its two legs
+	// as contiguous streams over the block's primaries and folds them into
+	// one cache-hot nb x nb tile via sphharm.ZetaBatch, which derives the
+	// conjugate interleave in-register.
 	wXY, aSlab []float64
-	blockTl    []int32 // concatenated touched-bin lists of the block's primaries
-	blockTlOff []int32 // per-primary offsets into blockTl
 	blockPw    []float64
 	blockAniso []complex128 // per-block zeta accumulator (committed per block)
 
@@ -651,19 +650,17 @@ func (e *engine) newWorkerState() *workerState {
 	pc := e.pc
 	K := e.cfg.ChunkSize
 	s := &workerState{
-		kern:       sphharm.NewKernel(e.mono, e.cfg.BucketSize),
-		acc:        make([][]float64, nb),
-		centers:    make([]geom.Vec3, K),
-		cnt:        make([]int32, nb),
-		tl:         make([]int32, 0, nb),
-		tlDense:    make([]int32, 0, nb),
-		msums:      make([]float64, e.mono.Len()),
-		reScr:      make([]float64, pc),
-		imScr:      make([]float64, pc),
-		aSlab:      make([]float64, K*pc*2*nb),
-		blockTl:    make([]int32, K*nb),
-		blockTlOff: make([]int32, K+1),
-		blockPw:    make([]float64, K),
+		kern:    sphharm.NewKernel(e.mono, e.cfg.BucketSize),
+		acc:     make([][]float64, nb),
+		centers: make([]geom.Vec3, K),
+		cnt:     make([]int32, nb),
+		tl:      make([]int32, 0, nb),
+		tlDense: make([]int32, 0, nb),
+		msums:   make([]float64, e.mono.Len()),
+		reScr:   make([]float64, pc),
+		imScr:   make([]float64, pc),
+		aSlab:   make([]float64, K*pc*2*nb),
+		blockPw: make([]float64, K),
 	}
 	if e.cfg.IsotropicOnly {
 		s.blockIso = make([]float64, pc*nb*nb)
@@ -760,8 +757,16 @@ func (e *engine) processBlock(s *workerState, b int) {
 	}
 
 	// Stage 2: per primary, assemble + consume tiles and reduce into the
-	// block's a_lm slabs.
-	s.blockTlOff[0] = 0
+	// block's a_lm slabs. The slabs are bin-indexed and zero-padded, so the
+	// block's extent is cleared once and each primary writes only the bins
+	// it touched.
+	stride2 := K * 2 * nb
+	t0 = time.Now()
+	clear(s.aSlab[:pc*stride2])
+	if !e.cfg.IsotropicOnly {
+		clear(s.wXY[:pc*stride2])
+	}
+	s.tAlmZeta += time.Since(t0)
 	for a := 0; a < K; a++ {
 		pi := prim[a]
 		pw := e.ws[pi]
@@ -787,7 +792,7 @@ func (e *engine) processBlock(s *workerState, b int) {
 		// Reduce the lane accumulators, convert to a_lm, and transpose into
 		// the block slabs. The counting sort hands the touched list over in
 		// ascending bin order; the dense-scan reference must enumerate the
-		// same bins in the same order (pinned bitwise by the property test).
+		// same bins (pinned bitwise by the property test).
 		t0 = time.Now()
 		tl := s.tl
 		if e.modes.denseScan {
@@ -798,14 +803,10 @@ func (e *engine) processBlock(s *workerState, b int) {
 				}
 			}
 		}
-		off := int(s.blockTlOff[a])
-		copy(s.blockTl[off:], tl)
-		s.blockTlOff[a+1] = int32(off + len(tl))
-		// Slab layout is [slot][local primary][touched slot] (slot-major,
-		// per-primary stride 2*nb, packed to this block's K so the scatter
-		// stays as compact as the block), so the zeta stage reads each leg
-		// as one contiguous stream per channel.
-		stride2 := K * 2 * nb
+		// Slab layout is [slot][local primary][bin] (slot-major, per-primary
+		// stride 2*nb, packed to this block's K so the scatter stays as
+		// compact as the block), so the zeta stage reads each leg as one
+		// contiguous stream per channel.
 		wXY, aS := s.wXY, s.aSlab
 		reScr, imScr := s.reScr, s.imScr
 		if e.cfg.IsotropicOnly {
@@ -814,10 +815,10 @@ func (e *engine) processBlock(s *workerState, b int) {
 			// so the iso zeta primitive streams each half contiguously with
 			// no deinterleave, and the weighted leg (wXY) is never built:
 			// the primary weight folds into the primitive instead.
-			for t, bb := range tl {
+			for _, bb := range tl {
 				sphharm.Reduce(s.acc[bb], s.msums)
 				e.ytab.AlmRI(s.msums, reScr, imScr)
-				o := a*2*nb + t
+				o := a*2*nb + int(bb)
 				for i := 0; i < pc; i++ {
 					aS[o] = reScr[i]
 					aS[o+nb] = imScr[i]
@@ -825,10 +826,10 @@ func (e *engine) processBlock(s *workerState, b int) {
 				}
 			}
 		} else {
-			for t, bb := range tl {
+			for _, bb := range tl {
 				sphharm.Reduce(s.acc[bb], s.msums)
 				e.ytab.AlmRI(s.msums, reScr, imScr)
-				o := a*2*nb + 2*t
+				o := a*2*nb + 2*int(bb)
 				for i := 0; i < pc; i++ {
 					re, im := reScr[i], imScr[i]
 					wXY[o] = pw * re
@@ -852,12 +853,13 @@ func (e *engine) processBlock(s *workerState, b int) {
 	}
 	s.blockNP = K
 
-	// Stage 3: zeta outer products, channel-major over the block. Per Aniso
-	// element the additions run in ascending local-primary order — exactly
-	// the order the per-primary engine produced — so regrouping the loops
-	// around the channel changes nothing bitwise while keeping the
-	// channel's nb x nb tile and the Aniso write target cache-hot across
-	// all K primaries.
+	// Stage 3: zeta outer products, channel-major over the block: one fused
+	// sphharm.ZetaBatch call per channel folds all K primaries into the
+	// channel's nb x nb tile, which stays cache-hot across the block. Per
+	// Aniso element the additions run in ascending local-primary order —
+	// exactly the order the per-primary engine produced. The zero padding
+	// of untouched bins only adds signed zeros, which leave every entry
+	// unchanged.
 	t0 = time.Now()
 	if e.cfg.IsotropicOnly {
 		e.zetaIsoBlock(s, K)
@@ -865,42 +867,11 @@ func (e *engine) processBlock(s *workerState, b int) {
 		s.tAlmZeta += time.Since(t0)
 		return
 	}
-	stride2 := K * 2 * nb
-	allDense := int(s.blockTlOff[K]) == K*nb
 	for _, ch := range e.channels {
 		dst := s.blockAniso[ch.base : ch.base+nb*nb]
-		base1 := int(ch.i1) * stride2
-		base2 := int(ch.i2) * stride2
-		if allDense {
-			// Every primary touched every bin (the common dense case): the
-			// whole block folds into the channel tile in one fused call.
-			sphharm.ZetaBatch(dst, s.aSlab[base2:base2+K*2*nb], s.wXY[base1:base1+K*2*nb], nb, K)
-		} else {
-			for a := 0; a < K; a++ {
-				tlo, thi := int(s.blockTlOff[a]), int(s.blockTlOff[a+1])
-				nt := thi - tlo
-				if nt == 0 {
-					continue
-				}
-				o1 := base1 + a*2*nb
-				o2 := base2 + a*2*nb
-				if nt == nb {
-					sphharm.ZetaBatch(dst, s.aSlab[o2:o2+2*nb], s.wXY[o1:o1+2*nb], nb, 1)
-					continue
-				}
-				tl := s.blockTl[tlo:thi]
-				for t1 := 0; t1 < nt; t1++ {
-					x := s.wXY[o1+2*t1]
-					y := s.wXY[o1+2*t1+1]
-					row := dst[int(tl[t1])*nb : int(tl[t1])*nb+nb]
-					for t2, b2 := range tl {
-						re2 := s.aSlab[o2+2*t2]
-						im2 := s.aSlab[o2+2*t2+1]
-						row[b2] += complex(x*re2+y*im2, y*re2-x*im2)
-					}
-				}
-			}
-		}
+		o1 := int(ch.i1) * stride2
+		o2 := int(ch.i2) * stride2
+		sphharm.ZetaBatch(dst, s.aSlab[o2:o2+stride2], s.wXY[o1:o1+stride2], nb, K)
 		if s.selfMom != nil {
 			// Diagonal self-pair subtraction, off the hot loop: the self term
 			// is real, so only the real part of each (b, b) entry moves.
@@ -922,46 +893,17 @@ func (e *engine) processBlock(s *workerState, b int) {
 //	dst[b1*nb+b2] += (pw*re[b1])*re[b2] + (pw*im[b1])*im[b2]
 //
 // — and the slabs carry split re/im halves (see the stage-2 fill), so the
-// dense case folds a whole block through sphharm.ZetaBatchIso at half the
-// flops and half the tile traffic of the complex path. The loop structure
-// (channel-major, ascending local-primary order, dense/single/sparse split)
-// mirrors the anisotropic stage exactly, so the blocked, reference-gather,
-// and dense-scan traversals stay bitwise interchangeable.
+// whole block folds through one sphharm.ZetaBatchIso call per channel at
+// half the flops and half the tile traffic of the complex path.
 func (e *engine) zetaIsoBlock(s *workerState, K int) {
 	nb := e.bins.N
 	nb2 := nb * nb
 	stride2 := K * 2 * nb
-	allDense := int(s.blockTlOff[K]) == K*nb
 	for _, ch := range e.channels {
 		slot := int(ch.i1)
 		dst := s.blockIso[slot*nb2 : slot*nb2+nb2]
-		base := slot * stride2
-		if allDense {
-			sphharm.ZetaBatchIso(dst, s.aSlab[base:base+K*2*nb], s.blockPw[:K], nb, K)
-		} else {
-			for a := 0; a < K; a++ {
-				tlo, thi := int(s.blockTlOff[a]), int(s.blockTlOff[a+1])
-				nt := thi - tlo
-				if nt == 0 {
-					continue
-				}
-				o := base + a*2*nb
-				if nt == nb {
-					sphharm.ZetaBatchIso(dst, s.aSlab[o:o+2*nb], s.blockPw[a:a+1], nb, 1)
-					continue
-				}
-				pw := s.blockPw[a]
-				tl := s.blockTl[tlo:thi]
-				for t1 := 0; t1 < nt; t1++ {
-					x := pw * s.aSlab[o+t1]
-					y := pw * s.aSlab[o+nb+t1]
-					row := dst[int(tl[t1])*nb : int(tl[t1])*nb+nb]
-					for t2, b2 := range tl {
-						row[b2] += x*s.aSlab[o+t2] + y*s.aSlab[o+nb+t2]
-					}
-				}
-			}
-		}
+		o := slot * stride2
+		sphharm.ZetaBatchIso(dst, s.aSlab[o:o+stride2], s.blockPw[:K], nb, K)
 		if s.selfMom != nil {
 			for bb, hit := range s.selfHit {
 				if hit {

@@ -6,7 +6,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,6 +13,7 @@ import (
 	"galactos/internal/catalog"
 	"galactos/internal/core"
 	"galactos/internal/geom"
+	"galactos/internal/leakcheck"
 )
 
 // testConfig keeps runs deterministic: one worker per engine so every
@@ -147,18 +147,6 @@ func TestStreamingShardedMatchesLocal(t *testing.T) {
 	}
 }
 
-// settleGoroutines polls until the goroutine count returns to the baseline
-// (or the deadline passes): cancelled workers need a moment to unwind.
-func settleGoroutines(baseline int) int {
-	deadline := time.Now().Add(5 * time.Second)
-	n := runtime.NumGoroutine()
-	for n > baseline && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-		n = runtime.NumGoroutine()
-	}
-	return n
-}
-
 // cancelConfig makes the compute long enough to cancel mid-run.
 func cancelConfig() core.Config {
 	cfg := core.DefaultConfig()
@@ -175,7 +163,7 @@ func TestCancellationPromptAndLeakFree(t *testing.T) {
 	backends := []Backend{Local{}, Sharded{NShards: 4}, Distributed{Ranks: 2}}
 	for _, b := range backends {
 		t.Run(b.Name(), func(t *testing.T) {
-			baseline := runtime.NumGoroutine()
+			snap := leakcheck.Take()
 			ctx, cancel := context.WithCancel(context.Background())
 			go func() {
 				time.Sleep(50 * time.Millisecond)
@@ -190,9 +178,7 @@ func TestCancellationPromptAndLeakFree(t *testing.T) {
 			if elapsed > 5*time.Second {
 				t.Fatalf("cancellation not prompt: took %v", elapsed)
 			}
-			if n := settleGoroutines(baseline); n > baseline {
-				t.Fatalf("goroutine leak: %d before, %d after", baseline, n)
-			}
+			snap.Check(t, 5*time.Second, nil)
 		})
 	}
 }

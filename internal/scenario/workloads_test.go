@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -12,6 +11,7 @@ import (
 	"galactos/internal/catalog"
 	"galactos/internal/core"
 	"galactos/internal/exec"
+	"galactos/internal/leakcheck"
 	"galactos/internal/partition"
 )
 
@@ -63,18 +63,6 @@ func assertResultBitwise(t *testing.T, label string, a, b *core.Result) {
 	}
 }
 
-// settleGoroutines polls until the goroutine count returns to the baseline
-// (cancelled workers need a moment to unwind).
-func settleGoroutines(baseline int) int {
-	deadline := time.Now().Add(5 * time.Second)
-	n := runtime.NumGoroutine()
-	for n > baseline && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-		n = runtime.NumGoroutine()
-	}
-	return n
-}
-
 // TestSurveyEstimatorKillResume: cancelling the survey workload mid-first-
 // stage leaves resumable checkpoints and no goroutines; resuming reuses at
 // least one checkpoint and reproduces the uninterrupted result bitwise.
@@ -83,7 +71,7 @@ func TestSurveyEstimatorKillResume(t *testing.T) {
 	cfg := surveyConfig()
 	dir := t.TempDir()
 
-	baseline := runtime.NumGoroutine()
+	snap := leakcheck.Take()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var fired atomic.Int32
@@ -96,9 +84,7 @@ func TestSurveyEstimatorKillResume(t *testing.T) {
 	if _, err := RunSurveyEstimator(ctx, killed, data, randoms, cfg); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
-	if n := settleGoroutines(baseline); n > baseline {
-		t.Fatalf("goroutine leak after cancel: %d before, %d after", baseline, n)
-	}
+	snap.Check(t, 5*time.Second, nil)
 
 	resume := exec.Sharded{NShards: 6, CheckpointDir: dir, Resume: true}
 	sv, err := RunSurveyEstimator(context.Background(), resume, data, randoms, cfg)
@@ -138,7 +124,7 @@ func TestJackknifeKillResume(t *testing.T) {
 	cfg := jackknifeConfig()
 	dir := t.TempDir()
 
-	baseline := runtime.NumGoroutine()
+	snap := leakcheck.Take()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var fired atomic.Int32
@@ -151,9 +137,7 @@ func TestJackknifeKillResume(t *testing.T) {
 	if _, err := RunJackknife(ctx, killed, cat, 4, cfg); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
-	if n := settleGoroutines(baseline); n > baseline {
-		t.Fatalf("goroutine leak after cancel: %d before, %d after", baseline, n)
-	}
+	snap.Check(t, 5*time.Second, nil)
 
 	resume := exec.Sharded{NShards: 6, CheckpointDir: dir, Resume: true}
 	jk, err := RunJackknife(context.Background(), resume, cat, 4, cfg)

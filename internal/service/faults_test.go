@@ -2,13 +2,13 @@ package service_test
 
 import (
 	"context"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"galactos/client"
 	"galactos/internal/faultpoint"
+	"galactos/internal/leakcheck"
 	"galactos/internal/service"
 )
 
@@ -107,7 +107,7 @@ func TestWatchResumesAcrossInjectedSeverance(t *testing.T) {
 
 	_, cl, hc := startServerHTTP(t, service.Options{Workers: 1})
 	hc.CloseIdleConnections()
-	before := runtime.NumGoroutine()
+	snap := leakcheck.Take()
 	ctx := context.Background()
 
 	req := testRequest(4000, 65)
@@ -141,15 +141,7 @@ func TestWatchResumesAcrossInjectedSeverance(t *testing.T) {
 		t.Fatal("the severance faultpoint never fired; the test did not exercise reconnect")
 	}
 
-	var leaked int
-	for end := time.Now().Add(5 * time.Second); time.Now().Before(end); {
-		// A pooled keep-alive connection is not a leak: drop it first.
-		hc.CloseIdleConnections()
-		leaked = runtime.NumGoroutine() - before
-		if leaked <= 2 {
-			return
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	t.Errorf("%d goroutines leaked after severed streams", leaked)
+	// A pooled keep-alive connection is not a leak: drop it before every
+	// poll.
+	snap.Check(t, 5*time.Second, hc.CloseIdleConnections)
 }

@@ -474,7 +474,7 @@ func ZetaBlock(dst []complex128, u, v, xs, ys []float64) {
 	zetaBlock(dst, u, v, xs, ys)
 }
 
-// ZetaBatch folds k dense primaries' zeta contributions to one channel in a
+// ZetaBatch folds k primaries' zeta contributions to one channel in a
 // single call: dst is the channel's nb x nb complex matrix (row-major over
 // (b1, b2)), and for each primary a the row t1 gains
 //
@@ -483,12 +483,16 @@ func ZetaBlock(dst []complex128, u, v, xs, ys []float64) {
 // where (x, y) = xy[a*2nb + 2*t1 {, +1}] is the weighted first leg and
 // (re2, im2) = a2[a*2nb + 2*t2 {, +1}] the unweighted second leg, both
 // packed (re, im) pairs with per-primary stride 2*nb. This is k
-// back-to-back dense per-primary updates fused so the channel's dst tile is
+// back-to-back per-primary updates fused so the channel's dst tile is
 // loaded and stored once per column strip instead of once per (primary,
-// row) — the cache shape of the engine's block-level zeta stage. The
-// conjugate interleave ZetaBlock wants as u/v inputs is derived in-register
-// on the vector path (an odd-lane sign flip and a pair swap), so callers
-// fill one packed slab per leg instead of two interleavings.
+// row) — the cache shape of the engine's block-level zeta stage. Every
+// primary is dense by padding: the engine indexes the slabs by radial bin
+// and leaves zeros in the bins a primary did not touch, whose products only
+// add signed zeros, so one call covers the whole block whatever its bin
+// coverage. The conjugate interleave ZetaBlock wants as u/v inputs is
+// derived in-register on the vector path (an odd-lane sign flip and a pair
+// swap), so callers fill one packed slab per leg instead of two
+// interleavings.
 func ZetaBatch(dst []complex128, a2, xy []float64, nb, k int) {
 	if nb <= 0 || k <= 0 {
 		return
@@ -528,7 +532,9 @@ func zetaBatchGeneric(dst []complex128, a2, xy []float64, nb, k int) {
 // [a*2nb, a*2nb+nb), im at [a*2nb+nb, a*2nb+2nb)) so both legs stream
 // contiguously with no deinterleave, and w carries the k primary weights —
 // the weighted leg is derived in-register instead of materialized by the
-// caller. dst must hold nb*nb values, a2 at least k*2*nb, w at least k.
+// caller. As in ZetaBatch, primaries are dense by padding: a bin a primary
+// did not touch carries zero re and im halves. dst must hold nb*nb values,
+// a2 at least k*2*nb, w at least k.
 func ZetaBatchIso(dst, a2, w []float64, nb, k int) {
 	if nb <= 0 || k <= 0 {
 		return
