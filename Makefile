@@ -5,7 +5,7 @@ GO ?= go
 .PHONY: all build test test-race vet fmt-check bench bench-exp \
 	bench-baseline bench-check bench-scaling-baseline scaling-check \
 	test-generic test-cpu cross-smoke examples-smoke scenario-smoke \
-	service-smoke chaos-smoke crash-smoke bench-pairs ci clean
+	service-smoke chaos-smoke crash-smoke bench-pairs test-perfbench ci clean
 
 all: build
 
@@ -28,6 +28,12 @@ test-race:
 
 vet:
 	$(GO) vet ./...
+
+# The end-to-end benchmark is its own module (perfbench/go.mod), which the
+# root `go vet ./...` and `go test ./...` never build: vet it and run its
+# contract and stats tests here.
+test-perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Formatting drift fails the pipeline.
 fmt-check:
@@ -150,7 +156,7 @@ crash-smoke:
 bench-pairs:
 	bash scripts/benchpairs.sh $(BENCH_PAIRS_ARGS)
 
-ci: fmt-check build vet test bench
+ci: fmt-check build vet test test-perfbench bench
 
 clean:
 	$(GO) clean ./...

@@ -6,6 +6,7 @@
 package galactos_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -46,7 +47,7 @@ func BenchmarkCompute(b *testing.B) {
 	b.ResetTimer()
 	var pairs uint64
 	for i := 0; i < b.N; i++ {
-		res, err := galactos.Compute(cat, cfg)
+		res, err := compute(cat, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -297,7 +298,7 @@ func BenchmarkFigure4Breakdown(b *testing.B) {
 	b.ResetTimer()
 	var pairs uint64
 	for i := 0; i < b.N; i++ {
-		res, err := galactos.Compute(cat, cfg)
+		res, err := compute(cat, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -314,7 +315,7 @@ func BenchmarkFigure5Threads(b *testing.B) {
 			cfg := benchConfig(12)
 			cfg.Workers = w
 			for i := 0; i < b.N; i++ {
-				if _, err := galactos.Compute(cat, cfg); err != nil {
+				if _, err := compute(cat, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -367,7 +368,7 @@ func BenchmarkSection51SingleNode(b *testing.B) {
 	cfg := benchConfig(15)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := galactos.Compute(cat, cfg)
+		res, err := compute(cat, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -387,7 +388,7 @@ func BenchmarkSection54Precision(b *testing.B) {
 			cfg := benchConfig(12)
 			cfg.Finder = f.kind
 			for i := 0; i < b.N; i++ {
-				if _, err := galactos.Compute(cat, cfg); err != nil {
+				if _, err := compute(cat, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -407,7 +408,7 @@ func BenchmarkFigure1BAOMap(b *testing.B) {
 	cfg.SelfCount = false
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := galactos.Compute(cat, cfg); err != nil {
+		if _, err := compute(cat, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -421,7 +422,7 @@ func BenchmarkSE15Isotropic(b *testing.B) {
 	cfg.IsotropicOnly = true
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := galactos.Compute(cat, cfg); err != nil {
+		if _, err := compute(cat, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -454,7 +455,7 @@ func BenchmarkBucketSize(b *testing.B) {
 			cfg := benchConfig(12)
 			cfg.BucketSize = k
 			for i := 0; i < b.N; i++ {
-				if _, err := galactos.Compute(cat, cfg); err != nil {
+				if _, err := compute(cat, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -473,7 +474,7 @@ func BenchmarkNeighborFinder(b *testing.B) {
 			cfg := benchConfig(12)
 			cfg.Finder = f.kind
 			for i := 0; i < b.N; i++ {
-				if _, err := galactos.Compute(cat, cfg); err != nil {
+				if _, err := compute(cat, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -494,7 +495,7 @@ func BenchmarkScheduling(b *testing.B) {
 			cfg.Scheduling = s.kind
 			cfg.Workers = 4
 			for i := 0; i < b.N; i++ {
-				if _, err := galactos.Compute(cat, cfg); err != nil {
+				if _, err := compute(cat, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -510,7 +511,7 @@ func BenchmarkSharded(b *testing.B) {
 	cfg := benchConfig(12)
 	b.Run("single", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := galactos.Compute(cat, cfg); err != nil {
+			if _, err := compute(cat, cfg); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -518,7 +519,11 @@ func BenchmarkSharded(b *testing.B) {
 	for _, nshards := range []int{4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", nshards), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := galactos.ShardedCompute(cat, nshards, cfg); err != nil {
+				if _, err := galactos.Run(context.Background(), galactos.Request{
+					Catalog: cat,
+					Config:  cfg,
+					Backend: galactos.BackendSpec{Name: "sharded", Shards: nshards},
+				}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -534,7 +539,7 @@ func BenchmarkSelfCount(b *testing.B) {
 			cfg := benchConfig(10)
 			cfg.SelfCount = on
 			for i := 0; i < b.N; i++ {
-				if _, err := galactos.Compute(cat, cfg); err != nil {
+				if _, err := compute(cat, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,6 +1,7 @@
 package galactos_test
 
 import (
+	"context"
 	"math"
 	"math/cmplx"
 	"path/filepath"
@@ -18,10 +19,20 @@ func smallConfig() galactos.Config {
 	return cfg
 }
 
+// compute runs cat through Run on the local backend and returns the merged
+// Result.
+func compute(cat *galactos.Catalog, cfg galactos.Config) (*galactos.Result, error) {
+	run, err := galactos.Run(context.Background(), galactos.Request{Catalog: cat, Config: cfg})
+	if err != nil {
+		return nil, err
+	}
+	return run.Result, nil
+}
+
 func TestPublicComputeMatchesBruteForce(t *testing.T) {
 	cat := galactos.GenerateClustered(100, 150, galactos.DefaultClusterParams(), 2)
 	cfg := smallConfig()
-	got, err := galactos.Compute(cat, cfg)
+	got, err := compute(cat, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +81,7 @@ func TestPublicSelfCountMatchesBruteForceHighOrder(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := base
 			tc.edit(&cfg)
-			got, err := galactos.Compute(tc.cat, cfg)
+			got, err := compute(tc.cat, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -114,23 +125,27 @@ func TestPublicSelfCountMatchesBruteForceHighOrder(t *testing.T) {
 func TestPublicDistributedMatchesSingle(t *testing.T) {
 	cat := galactos.GenerateUniform(600, 180, 3)
 	cfg := smallConfig()
-	single, err := galactos.Compute(cat, cfg)
+	single, err := compute(cat, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist, stats, err := galactos.ComputeDistributed(cat, 3, cfg)
+	dist, err := galactos.Run(context.Background(), galactos.Request{
+		Catalog: cat,
+		Config:  cfg,
+		Backend: galactos.BackendSpec{Name: "dist", Ranks: 3},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(stats) != 3 {
-		t.Errorf("%d rank stats", len(stats))
+	if len(dist.Units) != 3 {
+		t.Errorf("%d rank stats", len(dist.Units))
 	}
-	if d := dist.MaxAbsDiff(single); d > 1e-9*single.MaxAbs() {
+	if d := dist.Result.MaxAbsDiff(single); d > 1e-9*single.MaxAbs() {
 		t.Errorf("distributed differs by %v", d)
 	}
 	owned := 0
-	for _, s := range stats {
-		owned += s.NOwned
+	for _, u := range dist.Units {
+		owned += u.NOwned
 	}
 	if owned != cat.Len() {
 		t.Errorf("ranks own %d galaxies, want %d", owned, cat.Len())
@@ -140,17 +155,29 @@ func TestPublicDistributedMatchesSingle(t *testing.T) {
 func TestPublicShardedMatchesSingle(t *testing.T) {
 	cat := galactos.GenerateClustered(700, 170, galactos.DefaultClusterParams(), 4)
 	cfg := smallConfig()
-	single, err := galactos.Compute(cat, cfg)
+	single, err := compute(cat, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, stats, err := galactos.ShardedCompute(cat, 4, cfg)
+	run, err := galactos.Run(context.Background(), galactos.Request{
+		Catalog: cat,
+		Config:  cfg,
+		Backend: galactos.BackendSpec{Name: "sharded", Shards: 4},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(stats) != 4 {
-		t.Errorf("%d shard stats", len(stats))
+	if len(run.Units) != 4 {
+		t.Errorf("%d shard stats", len(run.Units))
 	}
+	owned := 0
+	for _, u := range run.Units {
+		owned += u.NOwned
+	}
+	if owned != cat.Len() {
+		t.Errorf("shards own %d galaxies, want %d", owned, cat.Len())
+	}
+	sharded := run.Result
 	if sharded.Pairs != single.Pairs {
 		t.Errorf("sharded pairs %d, want %d", sharded.Pairs, single.Pairs)
 	}
@@ -161,7 +188,7 @@ func TestPublicShardedMatchesSingle(t *testing.T) {
 
 func TestPublicResultIO(t *testing.T) {
 	cat := galactos.GenerateClustered(300, 150, galactos.DefaultClusterParams(), 5)
-	res, err := galactos.Compute(cat, smallConfig())
+	res, err := compute(cat, smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,11 +250,11 @@ func TestPublicDataMinusRandomSuppressesZeta(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := smallConfig()
-	resDR, err := galactos.Compute(combined, cfg)
+	resDR, err := compute(combined, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resD, err := galactos.Compute(data, cfg)
+	resD, err := compute(data, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

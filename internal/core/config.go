@@ -28,9 +28,8 @@ const (
 	// LOSMidpoint builds each pair's frame from the unit bisector of the two
 	// galaxy direction vectors (the Slepian–Eisenstein midpoint convention):
 	// the line of sight is a per-pair quantity, symmetric under swapping the
-	// pair's endpoints while the separation vector negates. That symmetry is
-	// what lets the engine's (-1)^l pair fold — previously plane-parallel
-	// only — apply to a survey-realistic (radially varying) line of sight.
+	// pair's endpoints while the separation vector negates, and varies
+	// radially across a survey.
 	LOSMidpoint
 )
 

@@ -72,16 +72,11 @@ func ComputeSubsetContext(ctx context.Context, cat *catalog.Catalog, primary []b
 // runs with the zero value; each switch must leave the result bitwise
 // unchanged, which the property tests assert.
 type engineModes struct {
-	// denseScan makes the per-primary reduction enumerate touched bins by
-	// scanning all NBins counters (the pre-touched-list behavior) instead
-	// of walking the touched list.
-	denseScan bool
-	// refGather replaces the blocked traversal's two amortizations — the
-	// shared block-granular finder query and the pair-symmetric intra-block
-	// scatter — with one QueryRadiusImages call and a full recompute per
-	// primary. Scheduling, block order, and the downstream reduction are
-	// untouched, so refGather isolates exactly the mechanisms the blocked
-	// traversal introduced.
+	// refGather replaces the blocked traversal's one amortization — the
+	// shared block-granular finder query — with one QueryRadiusImages call
+	// per primary. Scheduling, block order, the pair loop, and the
+	// downstream reduction are untouched, so refGather isolates exactly the
+	// shared gather.
 	refGather bool
 }
 
@@ -151,9 +146,7 @@ func primaryIndices(mask []bool, n int) []int32 {
 
 // blockRange is one scheduling unit of the blocked traversal: a run of
 // cell-sorted primaries from a single grid cell, capped at ChunkSize
-// primaries. Blocks are gathered through one shared finder traversal, and
-// within a block the plane-parallel path enumerates each intra-block pair
-// once.
+// primaries. Blocks are gathered through one shared finder traversal.
 type blockRange struct{ lo, hi int32 }
 
 type engine struct {
@@ -174,10 +167,9 @@ type engine struct {
 	// intrinsically periodic (k-d trees); a single zero offset otherwise.
 	images []geom.Vec3
 	// nhat caches the unit observer→galaxy direction of every point
-	// (LOSMidpoint only). Precomputing it once per run makes the per-pair
-	// bisector nhat[i] + nhat[j] a bitwise-commutative two-add expression —
-	// the swap-invariance the pair-symmetry fold needs — and removes two
-	// normalizations from the pair loop.
+	// (LOSMidpoint only). Precomputing it once per run removes two
+	// normalizations from the pair loop: the per-pair bisector is the
+	// two-add expression nhat[i] + nhat[j].
 	nhat []geom.Vec3
 
 	mono     *sphharm.MonomialTable
@@ -562,10 +554,10 @@ func (e *engine) commitInto(dst *Result, s *workerState) {
 
 // workerState carries one worker's scratch memory: the per-primary tile
 // pipeline of the pair-tile engine plus the block-level arenas (gathered
-// neighbor lists, the intra-block pair cache, per-primary a_lm slabs, and
-// the block's Aniso accumulator). Everything is allocated once per worker
-// and reused across blocks — the steady-state block loop performs no
-// allocations (pinned by TestProcessBlockAllocFree).
+// neighbor lists, per-primary a_lm slabs, and the block's Aniso
+// accumulator). Everything is allocated once per worker and reused across
+// blocks — the steady-state block loop performs no allocations (pinned by
+// TestProcessBlockAllocFree).
 type workerState struct {
 	kern *sphharm.Kernel
 	acc  [][]float64 // per-bin lane-striped monomial accumulators
@@ -578,23 +570,6 @@ type workerState struct {
 	centers []geom.Vec3
 	nbr     nbr.Block
 
-	// Intra-block pair cache (plane-parallel pair-symmetric path). Block
-	// members are located through a small open-addressed hash over the
-	// block's primary ids (L1-resident, a few Lanes of entries — not a
-	// catalog-sized lookup table, whose random accesses would miss cache
-	// on large catalogs and whose footprint would scale with N x workers).
-	// For an intra-block pair the walker with the lower local index caches
-	// the pair's unit vector and radial bin at slot lo*K + hi; the
-	// higher-local walker fetches it with the exact parity fold (component
-	// negation) instead of recomputing separation, sqrt, and bin. cbin
-	// encodes 0 = not walked, 1 = walked but outside the radial range,
-	// bin+2 otherwise.
-	symKeys       []int32 // hash keys: galaxy id, -1 empty
-	symVals       []int32 // hash values: block-local index
-	symMask       uint32  // table size - 1 (power of two)
-	cbin          []int32
-	cpx, cpy, cpz []float64
-
 	// Pair-tile scratch (per primary). The t* columns hold the bin-sorted
 	// SoA pair tiles as nb fixed-stride segments (bin b's pairs at
 	// [b*tileCap, b*tileCap+cnt[b]), in gather order): pairs scatter into
@@ -604,7 +579,6 @@ type workerState struct {
 	tx, ty, tz, tw []float64
 	cnt            []int32   // per-bin pair counts for the current primary
 	tl             []int32   // touched bin ids, ascending (from the counts)
-	tlDense        []int32   // dense-scan scratch (reference path only)
 	msums          []float64 // reduced monomial sums scratch
 	reScr, imScr   []float64 // contiguous AlmRI output per (primary, bin)
 
@@ -655,7 +629,6 @@ func (e *engine) newWorkerState() *workerState {
 		centers: make([]geom.Vec3, K),
 		cnt:     make([]int32, nb),
 		tl:      make([]int32, 0, nb),
-		tlDense: make([]int32, 0, nb),
 		msums:   make([]float64, e.mono.Len()),
 		reScr:   make([]float64, pc),
 		imScr:   make([]float64, pc),
@@ -671,19 +644,6 @@ func (e *engine) newWorkerState() *workerState {
 	for b := 0; b < nb; b++ {
 		s.acc[b] = make([]float64, sphharm.AccumulatorLen(e.mono))
 	}
-	if (e.cfg.LOS == LOSPlaneParallel || e.cfg.LOS == LOSMidpoint) && !e.modes.refGather {
-		m := 4
-		for m < 4*K {
-			m *= 2
-		}
-		s.symKeys = make([]int32, m)
-		s.symVals = make([]int32, m)
-		s.symMask = uint32(m - 1)
-		s.cbin = make([]int32, K*K)
-		s.cpx = make([]float64, K*K)
-		s.cpy = make([]float64, K*K)
-		s.cpz = make([]float64, K*K)
-	}
 	if e.cfg.SelfCount {
 		s.selfMom = make([]float64, nb*(2*e.cfg.LMax+1))
 		s.selfHit = make([]bool, nb)
@@ -694,13 +654,12 @@ func (e *engine) newWorkerState() *workerState {
 // processBlock runs Algorithm 1's inner loop for one cell block of
 // primaries. Stage 1 gathers every primary's neighbor list through one
 // shared finder traversal. Stage 2 walks the block's primaries in order:
-// each primary's neighbors are assembled into bin-sorted SoA tiles (with
-// intra-block pairs fetched from the pair cache instead of recomputed, on
-// the plane-parallel path), consumed whole-tile by the multipole kernel,
-// and reduced into the block's a_lm slabs. Stage 3 accumulates the zeta
-// outer products channel-major over the whole block, so each channel's
-// nb x nb tile is loaded once per block instead of once per primary. The
-// result lands in s.blockAniso for the caller to commit.
+// each primary's neighbors are assembled into bin-sorted SoA tiles (one
+// separation, sqrt, and bin per pair), consumed whole-tile by the
+// multipole kernel, and reduced into the block's a_lm slabs. Stage 3
+// accumulates the zeta outer products channel-major over the whole block,
+// so each channel's nb x nb tile is loaded once per block instead of once
+// per primary. The result lands in s.blockAniso for the caller to commit.
 func (e *engine) processBlock(s *workerState, b int) {
 	blk := e.blocks[b]
 	prim := e.primaryIdx[blk.lo:blk.hi]
@@ -734,28 +693,6 @@ func (e *engine) processBlock(s *workerState, b int) {
 	}
 	s.tGather += time.Since(t0)
 
-	// The pair fold needs a swap-invariant line of sight: plane-parallel
-	// (shared global frame) and midpoint (per-pair bisector frame, bitwise
-	// identical from both endpoints) qualify; radial does not — its frame
-	// follows the primary, so the two directions of a pair see different
-	// rotations.
-	useSym := (e.cfg.LOS == LOSPlaneParallel || e.cfg.LOS == LOSMidpoint) &&
-		!e.modes.refGather && K > 1
-	if useSym {
-		clear(s.cbin[:K*K])
-		for i := range s.symKeys {
-			s.symKeys[i] = -1
-		}
-		for a, pi := range prim {
-			h := symHash(pi) & s.symMask
-			for s.symKeys[h] >= 0 {
-				h = (h + 1) & s.symMask
-			}
-			s.symKeys[h] = pi
-			s.symVals[h] = int32(a)
-		}
-	}
-
 	// Stage 2: per primary, assemble + consume tiles and reduce into the
 	// block's a_lm slabs. The slabs are bin-indexed and zero-padded, so the
 	// block's extent is cleared once and each primary writes only the bins
@@ -773,7 +710,7 @@ func (e *engine) processBlock(s *workerState, b int) {
 		nbrs := s.nbr.List(a)
 
 		t0 = time.Now()
-		n := e.assembleTiles(s, a, prim, pi, nbrs, useSym)
+		n := e.assembleTiles(s, pi, nbrs)
 		for _, bb := range s.tl {
 			beg := int(bb) * s.tileCap
 			end := beg + int(s.cnt[bb])
@@ -790,19 +727,8 @@ func (e *engine) processBlock(s *workerState, b int) {
 		s.blockPairs += uint64(n)
 
 		// Reduce the lane accumulators, convert to a_lm, and transpose into
-		// the block slabs. The counting sort hands the touched list over in
-		// ascending bin order; the dense-scan reference must enumerate the
-		// same bins (pinned bitwise by the property test).
+		// the block slabs, one touched bin at a time.
 		t0 = time.Now()
-		tl := s.tl
-		if e.modes.denseScan {
-			tl = s.tlDense[:0]
-			for bb, c := range s.cnt {
-				if c > 0 {
-					tl = append(tl, int32(bb))
-				}
-			}
-		}
 		// Slab layout is [slot][local primary][bin] (slot-major, per-primary
 		// stride 2*nb, packed to this block's K so the scatter stays as
 		// compact as the block), so the zeta stage reads each leg as one
@@ -815,7 +741,7 @@ func (e *engine) processBlock(s *workerState, b int) {
 			// so the iso zeta primitive streams each half contiguously with
 			// no deinterleave, and the weighted leg (wXY) is never built:
 			// the primary weight folds into the primitive instead.
-			for _, bb := range tl {
+			for _, bb := range s.tl {
 				sphharm.Reduce(s.acc[bb], s.msums)
 				e.ytab.AlmRI(s.msums, reScr, imScr)
 				o := a*2*nb + int(bb)
@@ -826,7 +752,7 @@ func (e *engine) processBlock(s *workerState, b int) {
 				}
 			}
 		} else {
-			for _, bb := range tl {
+			for _, bb := range s.tl {
 				sphharm.Reduce(s.acc[bb], s.msums)
 				e.ytab.AlmRI(s.msums, reScr, imScr)
 				o := a*2*nb + 2*int(bb)
@@ -916,53 +842,30 @@ func (e *engine) zetaIsoBlock(s *workerState, K int) {
 
 // assembleTiles builds one primary's bin-sorted SoA pair tiles from its
 // gathered neighbor list and returns the pair count. One branch-light pass
-// normalizes separations, assigns radial bins (hoisted inverse width —
-// identical binning to hist.Binning.Index), and counts pairs per bin; the
-// line-of-sight rotation is then applied column-wise over the whole gather
-// at once; and a counting-sort scatter groups the unit vectors by bin. The
-// touched-bin list falls out of the counts in ascending order.
-//
-// On the pair-symmetric path (useSym), each intra-block pair is enumerated
-// once: the endpoint with the lower block-local index computes separation,
-// norm, and bin, scatters the pair into its own tile, and caches the unit
-// vector; the higher endpoint fetches the cached entry and applies the
-// (-1)^ell parity fold of Y_lm(-rhat) = (-1)^ell Y_lm(rhat) by negating
-// the cached components — IEEE negation is exact, and minimal-image
-// separations are antisymmetric bitwise, so the fetched entry is
-// bit-for-bit the value the reference per-primary path computes (the 0-x
-// form keeps even the sign of zero components identical). The multipole
-// ladder then consumes the folded components unchanged. A cache miss (the
-// finder admitted the pair in one direction only, possible at the float32
-// radius boundary) falls back to the full computation.
-//
-// The fold extends to LOSMidpoint because the bisector frame is the same
-// from both endpoints: the cached entry is the *rotated* unit vector, the
-// rotation is MidpointLOS(nhat[i], nhat[j]) — bitwise swap-invariant — and
-// a rotation applied to a negated vector is the negation of the rotated
-// vector up to the sign of exactly-zero components, which the 0-x fetch
-// canonicalizes identically on both paths. LOSRadial frames follow the
-// primary, so no fold applies and the rotation stays column-wise after the
-// pair loop.
-func (e *engine) assembleTiles(s *workerState, a int, prim []int32, pi int32, nbrs []int32, useSym bool) int {
+// computes each pair's separation, norm, and radial bin (hoisted inverse
+// width — identical binning to hist.Binning.Index) and scatters the unit
+// vector straight into its bin's tile segment; the touched-bin list then
+// falls out of the counts in ascending order. Midpoint frames are per pair,
+// so that rotation runs inside the pair loop; the radial frame follows the
+// primary, so it is applied column-wise over the finished tiles.
+func (e *engine) assembleTiles(s *workerState, pi int32, nbrs []int32) int {
 	if s.tileCap == 0 {
 		e.growTiles(s, 4096)
 	}
 	for {
-		n, ok := e.tryAssembleTiles(s, a, prim, pi, nbrs, useSym)
+		n, ok := e.tryAssembleTiles(s, pi, nbrs)
 		if ok {
 			return n
 		}
 		// A bin overflowed its tile segment: double the capacity and redo
-		// the primary (rare — capacity only ever grows, and the partial
-		// pair-cache writes are idempotent under the retry).
+		// the primary (rare — capacity only ever grows).
 		e.growTiles(s, 2*s.tileCap)
 	}
 }
 
 // tryAssembleTiles is one assembly attempt at the current tile capacity; it
 // reports false when a bin's segment would overflow.
-func (e *engine) tryAssembleTiles(s *workerState, a int, prim []int32, pi int32, nbrs []int32, useSym bool) (int, bool) {
-	K := len(prim)
+func (e *engine) tryAssembleTiles(s *workerState, pi int32, nbrs []int32) (int, bool) {
 	ppos := e.pts[pi]
 	rmin, rmax := e.bins.RMin, e.bins.RMax
 	invW := e.invW
@@ -971,7 +874,6 @@ func (e *engine) tryAssembleTiles(s *workerState, a int, prim []int32, pi int32,
 	tx, ty, tz, tw := s.tx, s.ty, s.tz, s.tw
 	cnt := s.cnt
 	pts, ws := e.pts, e.ws
-	symKeys, symVals, symMask := s.symKeys, s.symVals, s.symMask
 	mid := e.cfg.LOS == LOSMidpoint
 	var pn geom.Vec3
 	if mid {
@@ -982,49 +884,13 @@ func (e *engine) tryAssembleTiles(s *workerState, a int, prim []int32, pi int32,
 		if j == pi {
 			continue
 		}
-		cacheSlot := int32(-1)
-		if useSym {
-			if bl := blockLocal(symKeys, symVals, symMask, j); bl >= 0 {
-				if int(bl) < a {
-					c := int(bl)*K + a
-					if enc := s.cbin[c]; enc != 0 {
-						if enc == 1 {
-							continue // walked, outside the radial range
-						}
-						bin := enc - 2
-						if cnt[bin] == cap32 {
-							clear(cnt)
-							return 0, false
-						}
-						d := bin*cap32 + cnt[bin]
-						tx[d] = 0 - s.cpx[c]
-						ty[d] = 0 - s.cpy[c]
-						tz[d] = 0 - s.cpz[c]
-						tw[d] = ws[j]
-						cnt[bin]++
-						n++
-						continue
-					}
-					// Not walked by the partner (asymmetric finder
-					// membership): compute without caching.
-				} else {
-					cacheSlot = int32(a*K + int(bl))
-				}
-			}
-		}
 		sep := e.box.Separation(ppos, pts[j])
 		r2 := sep.Norm2()
 		if r2 == 0 {
-			if cacheSlot >= 0 {
-				s.cbin[cacheSlot] = 1
-			}
 			continue // coincident tracer: no direction, not a triangle side
 		}
 		r := math.Sqrt(r2)
 		if r < rmin || r >= rmax {
-			if cacheSlot >= 0 {
-				s.cbin[cacheSlot] = 1
-			}
 			continue
 		}
 		bin := int32((r - rmin) * invW)
@@ -1036,11 +902,8 @@ func (e *engine) tryAssembleTiles(s *workerState, a int, prim []int32, pi int32,
 		uy := sep.Y * inv
 		uz := sep.Z * inv
 		if mid {
-			// Midpoint frames are per pair, so the rotation fuses into the
-			// pair loop (plane-parallel needs none; radial rotates
-			// column-wise below). Rotating before the scatter means the
-			// cached entry is already in the pair's frame — exactly what the
-			// parity fold negates.
+			// The bisector frame belongs to the pair, so it rotates here,
+			// before the scatter.
 			v := geom.MidpointLOS(pn, e.nhat[j]).Apply(geom.Vec3{X: ux, Y: uy, Z: uz})
 			ux, uy, uz = v.X, v.Y, v.Z
 		}
@@ -1055,12 +918,6 @@ func (e *engine) tryAssembleTiles(s *workerState, a int, prim []int32, pi int32,
 		tw[d] = ws[j]
 		cnt[bin]++
 		n++
-		if cacheSlot >= 0 {
-			s.cpx[cacheSlot] = ux
-			s.cpy[cacheSlot] = uy
-			s.cpz[cacheSlot] = uz
-			s.cbin[cacheSlot] = bin + 2
-		}
 	}
 	// Touched bins in ascending order, straight off the counts.
 	s.tl = s.tl[:0]
@@ -1070,8 +927,7 @@ func (e *engine) tryAssembleTiles(s *workerState, a int, prim []int32, pi int32,
 		}
 	}
 	// Rotation to the line of sight (Fig. 2), column-wise per tile segment.
-	// For plane-parallel mode the z axis is already the line of sight
-	// (which is what makes the shared-frame parity fold valid), and
+	// For plane-parallel mode the z axis is already the line of sight, and
 	// midpoint frames were applied per pair above. Rotating unit vectors
 	// after normalization is exact: the rotation preserves the norm.
 	if e.cfg.LOS == LOSRadial {
@@ -1083,30 +939,6 @@ func (e *engine) tryAssembleTiles(s *workerState, a int, prim []int32, pi int32,
 		}
 	}
 	return n, true
-}
-
-// symHash spreads galaxy ids over the block-membership hash (Fibonacci
-// multiplicative hashing; the caller masks to the table size).
-func symHash(j int32) uint32 {
-	return uint32(j) * 2654435761
-}
-
-// blockLocal returns j's block-local primary index from the membership
-// hash, or -1 when j is not a primary of the current block. The table is
-// at most 25% loaded, so misses (the overwhelmingly common case) resolve
-// in ~one probe of an L1-resident table.
-func blockLocal(keys, vals []int32, mask uint32, j int32) int32 {
-	h := symHash(j) & mask
-	for {
-		k := keys[h]
-		if k == j {
-			return vals[h]
-		}
-		if k < 0 {
-			return -1
-		}
-		h = (h + 1) & mask
-	}
 }
 
 // growTiles raises the per-bin tile segment capacity to at least n

@@ -119,77 +119,13 @@ func TestGlobalRotationInvarianceIsotropic(t *testing.T) {
 	}
 }
 
-func TestTouchedListMatchesDenseScanBitwise(t *testing.T) {
-	// The touched-list reduction must enumerate exactly the bins a dense
-	// flag scan finds, in the same (ascending) order — so the two paths run
-	// identical floating-point operations and Result.Aniso must be bitwise
-	// identical, not merely close. Static scheduling pins the primary ->
-	// worker map so both runs group per-worker partial sums identically.
-	cases := []struct {
-		name   string
-		mutate func(*Config)
-	}{
-		{"default", func(*Config) {}},
-		{"isotropic-only", func(c *Config) { c.IsotropicOnly = true }},
-		{"los-radial", func(c *Config) {
-			c.LOS = LOSRadial
-			c.Observer = geom.Vec3{X: -300, Y: -250, Z: -400}
-		}},
-		{"los-midpoint", func(c *Config) {
-			c.LOS = LOSMidpoint
-			c.Observer = geom.Vec3{X: -300, Y: -250, Z: -400}
-		}},
-		{"los-midpoint-isotropic", func(c *Config) {
-			c.LOS = LOSMidpoint
-			c.Observer = geom.Vec3{X: -300, Y: -250, Z: -400}
-			c.IsotropicOnly = true
-		}},
-		{"no-selfcount", func(c *Config) { c.SelfCount = false }},
-		{"sparse-bins", func(c *Config) {
-			// RMin pushes many primaries to touch only a few outer bins,
-			// exercising partially-touched reductions.
-			c.RMin = 25
-			c.NBins = 12
-		}},
-	}
-	cat := catalog.Clustered(350, 180, catalog.DefaultClusterParams(), 71)
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := propConfig()
-			cfg.Scheduling = SchedStatic
-			tc.mutate(&cfg)
-			touchedList, err := computeSubset(context.Background(), cat, nil, cfg, engineModes{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			dense, err := computeSubset(context.Background(), cat, nil, cfg, engineModes{denseScan: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if touchedList.Pairs != dense.Pairs || touchedList.NPrimaries != dense.NPrimaries {
-				t.Fatalf("pair/primary counts differ: %d/%d vs %d/%d",
-					touchedList.Pairs, touchedList.NPrimaries, dense.Pairs, dense.NPrimaries)
-			}
-			for i := range touchedList.Aniso {
-				a, b := touchedList.Aniso[i], dense.Aniso[i]
-				if math.Float64bits(real(a)) != math.Float64bits(real(b)) ||
-					math.Float64bits(imag(a)) != math.Float64bits(imag(b)) {
-					t.Fatalf("Aniso[%d] not bitwise identical: %v vs %v", i, a, b)
-				}
-			}
-		})
-	}
-}
-
 func TestBlockedMatchesPerPrimaryBitwise(t *testing.T) {
-	// The blocked traversal's two amortizations — the shared block-granular
-	// finder query and the pair-symmetric intra-block scatter with its
-	// parity fold — must be invisible to the numerics: against the
-	// per-primary reference path (one QueryRadiusImages call and a full
-	// separation/bin recompute per primary, same block order) every Aniso
-	// channel must be bitwise identical, not merely close, across both LOS
-	// modes, IsotropicOnly, SelfCount, all finder substrates, and sparse
-	// touch lists.
+	// The blocked traversal's one amortization — the shared block-granular
+	// finder query — must be invisible to the numerics: against the
+	// per-primary reference path (one QueryRadiusImages call per primary,
+	// same block order) every Aniso channel must be bitwise identical, not
+	// merely close, across every LOS mode, IsotropicOnly, SelfCount, all
+	// finder substrates, and sparse touch lists.
 	cases := []struct {
 		name   string
 		mutate func(*Config)

@@ -96,8 +96,7 @@ func (r Request) ResolveBackend() (Backend, error) {
 
 // Run executes a 3PCF request end-to-end and is the one canonical
 // entrypoint of the package: every in-tree command, example, and the
-// galactosd job service route through it, and the legacy Compute* variants
-// are deprecated thin wrappers over it.
+// galactosd job service route through it.
 //
 // The request's config is normalized exactly once at entry; an invalid
 // config is rejected before any catalog IO. Cancelling ctx (deadline,
